@@ -7,7 +7,7 @@
 //	spaa-sim [-instance file.json | -adversarial N] [-sched s|swc|nc|gp|edf|llf|fifo|hdf|federated]
 //	         [-eps 1.0] [-speed p/q] [-policy id|random|unlucky|cp]
 //	         [-m 8] [-n 40] [-seed 1] [-load 1.5] [-profit step|linear|exp]
-//	         [-horizon 0] [-gantt] [-ub] [-verify] [-evented]
+//	         [-horizon 0] [-gantt] [-ub] [-verify]
 //	         [-faults "mtbf=60,crash=0.01"] [-fault-seed 1] [-mtbf 0] [-mttr 0]
 //	         [-crash-rate 0] [-straggler-frac 0] [-straggler-slow 0] [-resilient]
 //	         [-events out.jsonl] [-perfetto out.json] [-telemetry-summary]
@@ -54,7 +54,6 @@ func main() {
 		verify   = flag.Bool("verify", false, "re-validate the recorded schedule with the independent trace checker")
 		jsonOut  = flag.Bool("json", false, "emit the full result as JSON instead of the summary")
 		stats    = flag.Bool("stats", false, "print instance statistics before running")
-		evented  = flag.Bool("evented", false, "use the event-driven engine (event-stationary schedulers only)")
 		horizon  = flag.Int64("horizon", 0, "stop the simulation after this many ticks (0 = run to completion)")
 
 		resilient = flag.Bool("resilient", false, "use the fault-aware resilient scheduler variant")
@@ -64,7 +63,7 @@ func main() {
 		perfPath   = flag.String("perfetto", "", "write a Chrome trace-event JSON file (open at ui.perfetto.dev); implies recording")
 		telSummary = flag.Bool("telemetry-summary", false, "print the run's telemetry registry (counters, gauges, histograms)")
 		probeEvery = flag.Int64("probe", 0, "sample machine time series every N ticks (0 = off; 1 = every tick)")
-		probeJobs  = flag.Bool("probe-jobs", false, "with -probe, also sample per-job series (tick engine only)")
+		probeJobs  = flag.Bool("probe-jobs", false, "with -probe, also sample per-job series")
 	)
 	var faultFlags cliflags.FaultFlags
 	faultFlags.Register(flag.CommandLine)
@@ -122,16 +121,7 @@ func main() {
 	simCfg := sim.Config{M: inst.M, Speed: speed, Policy: pol,
 		Record:  *gantt || *verify || *perfPath != "",
 		Horizon: *horizon, Faults: fcfg, Telemetry: rec}
-	var res *sim.Result
-	if *evented {
-		switch *schedSel {
-		case "gp", "llf", "nc":
-			fmt.Fprintf(os.Stderr, "spaa-sim: warning: %s is not event-stationary; the event-driven engine may diverge from tick-exact results\n", *schedSel)
-		}
-		res, err = sim.RunEvented(simCfg, inst.Jobs, sched)
-	} else {
-		res, err = sim.Run(simCfg, inst.Jobs, sched)
-	}
+	res, err := sim.RunAuto(simCfg, inst.Jobs, sched)
 	fail(err)
 
 	if *eventsPath != "" {

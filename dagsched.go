@@ -152,7 +152,8 @@ var (
 	PickCriticalPath PickPolicy = dag.CriticalPathFirst{}
 )
 
-// Run simulates jobs under a scheduler. See sim.Run.
+// Run simulates jobs under a scheduler, deciding every tick: the reference
+// schedule. See sim.Run.
 func Run(cfg SimConfig, jobs []*Job, sched Scheduler) (*Result, error) {
 	return sim.Run(cfg, jobs, sched)
 }
@@ -257,7 +258,8 @@ func EventsJSONL(events []TelemetryEvent) []byte { return telemetry.EventsJSONL(
 
 // NewSession returns a step-driven simulation session positioned before the
 // first tick. The jobs slice may be empty: online submissions arrive later
-// through Session.Arrive. See sim.Session.
+// through Session.Arrive. The session holds decisions across events exactly
+// when RunAuto would. See sim.Session.
 func NewSession(cfg SimConfig, jobs []*Job, sched Scheduler) (*Session, error) {
 	return sim.NewSession(cfg, jobs, sched)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 
 	"dagsched/internal/dag"
@@ -164,8 +165,9 @@ func TestCommittedJobIsNeverAborted(t *testing.T) {
 	}
 }
 
-// TestDeltaTickEventedEquivalent pins that the evented engine's committed
-// expiry-skip reproduces the tick engine bit for bit under δ-commitment.
+// TestDeltaTickEventedEquivalent pins that holding decisions across events
+// (RunAuto) skips committed expiries exactly as ticking does under
+// δ-commitment.
 func TestDeltaTickEventedEquivalent(t *testing.T) {
 	mk := func(tt *testing.T) []*sim.Job {
 		in, err := workload.Generate(workload.Config{
@@ -181,10 +183,13 @@ func TestDeltaTickEventedEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sim.RunEvented(sim.Config{M: 8}, mk(t),
+	b, err := sim.RunAuto(sim.Config{M: 8}, mk(t),
 		NewSchedulerS(Options{Params: MustParams(1), Commitment: sim.CommitmentDelta}))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if b.Engine != sim.EngineEvented {
+		t.Fatalf("RunAuto ran on %q, want %q", b.Engine, sim.EngineEvented)
 	}
 	if a.TotalProfit != b.TotalProfit || a.Completed != b.Completed ||
 		a.Expired != b.Expired || a.BusyProcTicks != b.BusyProcTicks {
@@ -207,5 +212,98 @@ func TestPerJobOverrideCommits(t *testing.T) {
 	}
 	if s.Committed(2) {
 		t.Error("job 2 inherited policy none; must not be committed")
+	}
+}
+
+// tickOnlyS is Scheduler S with its event-safety marker withdrawn, so a
+// session over it decides every tick: the per-tick reference schedule.
+type tickOnlyS struct{ *SchedulerS }
+
+func (tickOnlyS) EventSafe() bool { return false }
+
+// TestSessionClippedIntervalsMatchTickingS feeds Scheduler S, plain and under
+// δ-commitment, the same online arrivals in an event-safe session and in a
+// per-tick one, advancing both to irregular, lagged clocks. Every held
+// interval must stop at the AdvanceTo target: the fingerprints and every
+// job's Lookup agree after each call, and the final Results match.
+func TestSessionClippedIntervalsMatchTickingS(t *testing.T) {
+	in, err := workload.Generate(workload.Config{
+		Seed: 17, N: 60, M: 8, Eps: 1, SlackSpread: 1, Load: 1.8, MaxProfit: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []sim.Commitment{sim.CommitmentDefault, sim.CommitmentDelta} {
+		mk := func() *SchedulerS {
+			return NewSchedulerS(Options{Params: MustParams(1), Commitment: c})
+		}
+		jump, err := sim.NewSession(sim.Config{M: 8}, nil, mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tick, err := sim.NewSession(sim.Config{M: 8}, nil, tickOnlyS{mk()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !jump.EventSafe() || tick.EventSafe() {
+			t.Fatal("want one event-safe session and one per-tick session")
+		}
+		same := func(when string) {
+			t.Helper()
+			if jump.Now() != tick.Now() || jump.Fingerprint() != tick.Fingerprint() {
+				t.Fatalf("%q %s: clock %d vs %d, fingerprints differ", c, when, jump.Now(), tick.Now())
+			}
+			for _, j := range in.Jobs {
+				as, astate := jump.Lookup(j.ID)
+				bs, bstate := tick.Lookup(j.ID)
+				if as != bs || astate != bstate {
+					t.Fatalf("%q %s: job %d is %s %+v vs %s %+v", c, when, j.ID, astate, as, bstate, bs)
+				}
+			}
+		}
+		// Submission gaps follow the generator's release gaps; each AdvanceTo
+		// target lags the clock by a varying amount, sometimes repeating.
+		var now, prev int64
+		for i, j := range in.Jobs {
+			now += j.Release - prev
+			prev = j.Release
+			for _, target := range []int64{now - int64(i%5), now - int64(i%5), now} {
+				for _, s := range []*sim.Session{jump, tick} {
+					if err := s.AdvanceTo(target); err != nil {
+						t.Fatal(err)
+					}
+				}
+				same("after AdvanceTo")
+			}
+			for _, s := range []*sim.Session{jump, tick} {
+				jj := *j
+				jj.Release = s.Now()
+				if err := s.Arrive(&jj); err != nil {
+					t.Fatal(err)
+				}
+			}
+			same("after Arrive")
+		}
+		for target := now; !jump.Idle() || !tick.Idle(); target += 7 {
+			for _, s := range []*sim.Session{jump, tick} {
+				if err := s.AdvanceTo(target); err != nil {
+					t.Fatal(err)
+				}
+			}
+			same("draining")
+		}
+		a, b := jump.Finish(), tick.Finish()
+		if a.Engine != sim.EngineEvented || b.Engine != sim.EngineTick {
+			t.Fatalf("engines %q/%q, want %q/%q", a.Engine, b.Engine, sim.EngineEvented, sim.EngineTick)
+		}
+		b.Engine = a.Engine
+		aj, _ := json.Marshal(a)
+		bj, _ := json.Marshal(b)
+		if string(aj) != string(bj) {
+			t.Fatalf("%q: results diverge:\n jump %s\n tick %s", c, aj, bj)
+		}
+		if a.Completed == 0 || a.Expired == 0 {
+			t.Fatalf("%q: completed=%d expired=%d, want both outcomes exercised", c, a.Completed, a.Expired)
+		}
 	}
 }

@@ -43,8 +43,8 @@ func (ByID) Name() string { return "by-id" }
 
 // EventSafe reports that ByID's choice is stable across an interval in which
 // the ready set is unchanged and only picked nodes' remaining work shrinks:
-// the k lowest-ID ready nodes stay the k lowest-ID ready nodes. The evented
-// engine may hold its pick for a whole inter-event interval.
+// the k lowest-ID ready nodes stay the k lowest-ID ready nodes. A simulation
+// session may hold its pick for a whole inter-event interval.
 func (ByID) EventSafe() bool { return true }
 
 // Random picks k ready nodes uniformly at random (deterministic given the

@@ -11,9 +11,10 @@ import (
 )
 
 // TestEventedEngineMatchesTickForRealSchedulers is the strong integration
-// check of sim.RunEvented: the paper's scheduler (plain and
-// work-conserving) and the event-stationary baselines must produce
-// bit-identical results under both engines on generated workloads.
+// check of event jumping: the paper's scheduler (plain and work-conserving)
+// and the event-stationary baselines must route to the evented engine under
+// sim.RunAuto and produce results bit-identical to sim.Run on generated
+// workloads.
 func TestEventedEngineMatchesTickForRealSchedulers(t *testing.T) {
 	makers := map[string]func() sim.Scheduler{
 		"S": func() sim.Scheduler { return freshS(1) },
@@ -39,9 +40,12 @@ func TestEventedEngineMatchesTickForRealSchedulers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s tick: %v", name, err)
 				}
-				b, err := sim.RunEvented(cfg, inst.Jobs, mk())
+				b, err := sim.RunAuto(cfg, inst.Jobs, mk())
 				if err != nil {
 					t.Fatalf("%s evented: %v", name, err)
+				}
+				if b.Engine != sim.EngineEvented {
+					t.Fatalf("%s: RunAuto ran on %q, want %q", name, b.Engine, sim.EngineEvented)
 				}
 				if a.TotalProfit != b.TotalProfit || a.Completed != b.Completed ||
 					a.BusyProcTicks != b.BusyProcTicks || a.Ticks != b.Ticks {

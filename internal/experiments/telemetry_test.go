@@ -16,20 +16,23 @@ import (
 )
 
 // eventStream runs sched on inst with a fresh recorder and returns the
-// encoded decision-event stream.
+// encoded decision-event stream. evented runs through sim.RunAuto and
+// requires it to hold decisions across events; otherwise sim.Run ticks.
 func eventStream(t *testing.T, inst *workload.Instance, sched sim.Scheduler, evented bool) []byte {
 	t.Helper()
 	rec := telemetry.NewRecorder()
 	telemetry.Attach(sched, rec)
 	cfg := sim.Config{M: inst.M, Speed: rational.One(), Telemetry: rec}
-	var err error
+	run, want := sim.Run, sim.EngineTick
 	if evented {
-		_, err = sim.RunEvented(cfg, inst.Jobs, sched)
-	} else {
-		_, err = sim.Run(cfg, inst.Jobs, sched)
+		run, want = sim.RunAuto, sim.EngineEvented
 	}
+	res, err := run(cfg, inst.Jobs, sched)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Engine != want {
+		t.Fatalf("ran on %q, want %q", res.Engine, want)
 	}
 	return telemetry.EventsJSONL(rec.Events())
 }

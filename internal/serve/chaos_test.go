@@ -535,7 +535,6 @@ func runChaos(t *testing.T, seed int64, shards int) {
 		t.Fatal(err)
 	}
 	a, b := res, *replayed
-	a.Engine, b.Engine = "", ""
 	aj, _ := json.Marshal(&a)
 	bj, _ := json.Marshal(&b)
 	if string(aj) != string(bj) {

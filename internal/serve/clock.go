@@ -7,21 +7,16 @@ import (
 	"dagsched/internal/sim"
 )
 
-// The event-jump clock. The ticker engine loop wakes every TickInterval to
-// advance its session even when nothing can happen — an idle daemon at the
-// 10ms default burns 100 wakeups/sec per shard doing nothing. When a shard's
-// (scheduler, policy, faults, probe) combination is event-safe under the
-// sim.RunAuto routing rules, the session's evolution depends only on the
-// sequence of (Arrive, AdvanceTo) operations and their clock values, never
-// on how many wakeups delivered them. The jump loop exploits that: instead
-// of a ticker it arms one timer to the earliest instant anything can happen
-// — the session's next event (sim.Session.NextEventHint), the WAL's
-// interval-policy flush deadline, or a due checkpoint — and bursts every
-// deferred tick when it fires. An idle shard arms nothing and burns zero
-// CPU; a busy one advances exactly when state can change. Every mailbox
-// message catches the session up to the current wall tick first, so release
-// stamps and read freshness match the ticker loop and the two disciplines
-// stay bit-identical for the same submission sequence.
+// The engine clock. A shard's engine loop sleeps on one timer armed at
+// nextWake and, when it fires, catches the session up to the current wall
+// tick. The ticker clock wakes every tick, even when nothing can happen: an
+// idle daemon at the 10ms default burns 100 wakeups/sec per shard. When a
+// shard's session is event-safe (sim.Session.EventSafe), its evolution
+// depends only on the sequence of (Arrive, AdvanceTo) operations and their
+// clock values, never on how many wakeups delivered them, so the jump clock
+// wakes only at the session's next event: an idle shard arms nothing and
+// burns zero CPU. Every mailbox message catches the session up first, so
+// the two clocks stay bit-identical for the same submission sequence.
 
 // ClockMode selects the engine clock discipline (Config.Clock).
 type ClockMode string
@@ -65,79 +60,32 @@ func resolveClock(cfg Config, sess *sim.Session) (jump bool, err error) {
 	}
 }
 
-// engineLoopJump is the event-jump variant of engineLoop: same mailbox
-// handling, but the per-tick ticker is replaced by a timer armed to the next
-// instant this shard has anything to do. Idle shards leave the timer unarmed.
-func (sh *shard) engineLoopJump() {
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	armed := false
-	rearm := func() {
-		if armed {
-			if !timer.Stop() {
-				// Fired while we were handling a message; drain the stale
-				// value so Reset arms cleanly. Non-blocking: under the
-				// unbuffered timer semantics Stop already guarantees an
-				// empty channel.
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			armed = false
-		}
-		if sh.quiesced {
-			return // the clock is done moving; finalize fast-forwards
-		}
-		if at, ok := sh.nextWake(); ok {
-			timer.Reset(time.Until(at))
-			armed = true
-		}
-	}
-	rearm()
-	for {
-		select {
-		case m := <-sh.reqs:
-			if !sh.quiesced {
-				// Catch up before touching observable state, so release
-				// stamps and lookups are as fresh as the ticker loop's.
-				sh.catchUp()
-			}
-			if sh.handle(m) {
-				return
-			}
-			rearm()
-		case <-timer.C:
-			armed = false
-			if sh.quiesced {
-				continue
-			}
-			sh.jumpAdvance()
-			rearm()
-		}
-	}
-}
-
 // nextWake computes the earliest wall-clock instant this shard must wake
-// itself: the wall time of the tick after the session's next event hint
-// (tick h is simulatable once the wall tick reaches h+1), the WAL's
-// interval-policy flush deadline, or the next due checkpoint. ok=false
-// means the shard may sleep until the next mailbox message.
+// itself: the next wall tick (ticker clock) or the wall time of the tick
+// after the session's next event hint (jump clock; tick h is simulatable
+// once the wall tick reaches h+1), the WAL's interval-policy flush
+// deadline, or the next due checkpoint. ok=false means the shard may sleep
+// until the next mailbox message — always so once quiesced (the clock is
+// done moving; finalize fast-forwards) or without a clock (TickInterval < 0:
+// sessions advance on drain or explicit Advance).
 func (sh *shard) nextWake() (time.Time, bool) {
 	var (
 		at time.Time
 		ok bool
 	)
+	tick := sh.srv.cfg.TickInterval
+	if sh.quiesced || tick <= 0 {
+		return at, ok
+	}
 	add := func(t time.Time) {
 		if !ok || t.Before(at) {
 			at, ok = t, true
 		}
 	}
-	if hint, hok := sh.sess.NextEventHint(); hok {
-		add(sh.srv.start.Add(time.Duration(hint+1) * sh.srv.cfg.TickInterval))
+	if !sh.jump {
+		add(sh.srv.start.Add(time.Duration(sh.wallTick()+1) * tick))
+	} else if hint, hok := sh.sess.NextEventHint(); hok {
+		add(sh.srv.start.Add(time.Duration(hint+1) * tick))
 	}
 	if sh.wal != nil {
 		if d, dok := sh.wal.syncDeadline(); dok {
@@ -150,16 +98,19 @@ func (sh *shard) nextWake() (time.Time, bool) {
 	return at, ok
 }
 
-// jumpAdvance is the timer-fire body of the jump loop: burst the session up
-// to the current wall tick (bit-identical to having ticked every interval),
-// then run the same WAL flush and checkpoint cadence the ticker loop
-// piggybacks on its ticks.
-func (sh *shard) jumpAdvance() {
+// wake is the timer-fire body of the engine loop: catch the session up to
+// the current wall tick (bit-identical to having ticked every interval),
+// then run the WAL flush and checkpoint cadence.
+func (sh *shard) wake() {
 	before := sh.sess.Now()
 	sh.catchUp()
 	if sh.obsReg != nil {
-		sh.obsReg.Inc("serve.clock_jumps", 1)
-		sh.obsReg.Observe("serve.clock_jump_ticks", float64(sh.sess.Now()-before))
+		if sh.jump {
+			sh.obsReg.Inc("serve.clock_jumps", 1)
+			sh.obsReg.Observe("serve.clock_jump_ticks", float64(sh.sess.Now()-before))
+		} else {
+			sh.obsReg.Inc("serve.ticker_wakeups", 1)
+		}
 	}
 	if sh.wal != nil {
 		now := time.Now()
@@ -170,7 +121,10 @@ func (sh *shard) jumpAdvance() {
 	}
 }
 
-// catchUp advances the session to the current wall tick.
-func (sh *shard) catchUp() {
-	sh.advance(int64(time.Since(sh.srv.start) / sh.srv.cfg.TickInterval))
+// wallTick is the current wall-clock tick.
+func (sh *shard) wallTick() int64 {
+	return int64(time.Since(sh.srv.start) / sh.srv.cfg.TickInterval)
 }
+
+// catchUp advances the session to the current wall tick.
+func (sh *shard) catchUp() { sh.advance(sh.wallTick()) }

@@ -333,7 +333,8 @@ func (s *Server) handleJobsPost(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Request-Id", reqID)
 	// finish deposits the request trace, the HTTP latency sample, and the
 	// structured submission record — every exit path of the submission route
-	// goes through it, so a 429 is as traceable as a committed job.
+	// after the request has an ID goes through it, so a 400 or a 429 is as
+	// traceable as a committed job.
 	finish := func(status int, sh *shard, route string, tr *submitTrace, resp *JobResponse) {
 		now := time.Now()
 		s.metrics.observe("serve.http.jobs_us", float64(now.Sub(received).Microseconds()))
@@ -372,6 +373,7 @@ func (s *Server) handleJobsPost(w http.ResponseWriter, r *http.Request) {
 	}
 	key := r.Header.Get("Idempotency-Key")
 	if len(key) > maxIdempotencyKeyLen {
+		finish(http.StatusBadRequest, nil, "", nil, nil)
 		writeError(w, http.StatusBadRequest, reasonBadRequest,
 			fmt.Sprintf("idempotency key longer than %d bytes", maxIdempotencyKeyLen))
 		return
@@ -387,10 +389,12 @@ func (s *Server) handleJobsPost(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
+			finish(http.StatusRequestEntityTooLarge, nil, "", nil, nil)
 			writeError(w, http.StatusRequestEntityTooLarge, reasonTooLarge,
 				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
 			return
 		}
+		finish(http.StatusBadRequest, nil, "", nil, nil)
 		writeError(w, http.StatusBadRequest, reasonBadRequest, err.Error())
 		return
 	}
@@ -403,6 +407,7 @@ func (s *Server) handleJobsPost(w http.ResponseWriter, r *http.Request) {
 		dec := json.NewDecoder(bytes.NewReader(rb.b))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
+			finish(http.StatusBadRequest, nil, "", nil, nil)
 			writeError(w, http.StatusBadRequest, reasonBadRequest, err.Error())
 			return
 		}

@@ -2,6 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -290,3 +293,76 @@ var errDiskGone = &diskError{"disk gone"}
 type diskError struct{ msg string }
 
 func (e *diskError) Error() string { return e.msg }
+
+// errReader fails every read, standing in for a client that drops the
+// connection mid-body.
+type errReader struct{}
+
+func (errReader) Read([]byte) (int, error) { return 0, errors.New("connection reset") }
+
+// TestHTTPSubmitEarlyExitsTraced: the submission route's exits that answer
+// before reaching a shard — an over-long Idempotency-Key, a body that fails
+// to read or exceeds the limit, and a body that fails to decode — still
+// deposit a request trace (exported on /debug/requests) and an HTTP latency
+// sample, like every other exit.
+func TestHTTPSubmitEarlyExitsTraced(t *testing.T) {
+	srv, _ := newTestServer(t, Config{M: 2, MaxBodyBytes: 512})
+	samples := func() int64 {
+		if h := srv.metrics.snapshot().Hist("serve.http.jobs_us"); h != nil {
+			return h.Count
+		}
+		return 0
+	}
+	valid := `{"w":4,"l":2,"deadline":9,"profit":1}`
+	cases := []struct {
+		name string
+		body io.Reader
+		key  string
+		want int
+	}{
+		{"key too long", strings.NewReader(valid), strings.Repeat("k", maxIdempotencyKeyLen+1), 400},
+		{"body read error", errReader{}, "", 400},
+		{"body too large", strings.NewReader(strings.Repeat(" ", 600) + valid), "", 413},
+		{"decode error", strings.NewReader(`{"w":4,"bogus":1}`), "", 400},
+	}
+	var ids []string
+	for i, tc := range cases {
+		reqID := fmt.Sprintf("early-exit-%d", i)
+		ids = append(ids, reqID)
+		t.Run(tc.name, func(t *testing.T) {
+			before := samples()
+			req := httptest.NewRequest("POST", "/v1/jobs", tc.body)
+			req.Header.Set("X-Request-Id", reqID)
+			if tc.key != "" {
+				req.Header.Set("Idempotency-Key", tc.key)
+			}
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, req)
+			if rec.Code != tc.want {
+				t.Fatalf("code = %d, want %d (%s)", rec.Code, tc.want, rec.Body)
+			}
+			if got := samples(); got != before+1 {
+				t.Errorf("latency samples %d -> %d, want one more", before, got)
+			}
+			var found bool
+			for _, rt := range srv.traces.Snapshot() {
+				if rt.ID == reqID {
+					found = true
+					if rt.Shard != -1 || rt.JobID != 0 {
+						t.Errorf("trace shard=%d job=%d, want no shard and no job", rt.Shard, rt.JobID)
+					}
+				}
+			}
+			if !found {
+				t.Fatalf("request %s not in the trace ring", reqID)
+			}
+		})
+	}
+	rec := httptest.NewRecorder()
+	srv.DebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/requests", nil))
+	for _, id := range ids {
+		if !strings.Contains(rec.Body.String(), id) {
+			t.Errorf("request %s missing from /debug/requests", id)
+		}
+	}
+}

@@ -151,8 +151,8 @@ func readRouted(r io.Reader) (ReplayHeader, []*sim.Job, map[int]int, error) {
 // and assigns ascending IDs on its stripe inside its engine goroutine, the
 // batch run over each shard's logged job set — on that shard's capacity
 // slice — reproduces the shard's Result bit-identically, and the merged
-// aggregate matches the daemon's drained Result (modulo the Result.Engine
-// label, which names the engine that executed).
+// aggregate matches the daemon's drained Result. sim.RunAuto routes exactly
+// as the serving sessions did, so even the Result.Engine label agrees.
 func Replay(r io.Reader) (*sim.Result, error) {
 	h, jobs, shardOf, err := readRouted(r)
 	if err != nil {
@@ -203,10 +203,11 @@ func Replay(r io.Reader) (*sim.Result, error) {
 
 // mergeResults folds per-shard Results into the daemon-level aggregate.
 // Additive fields sum; Ticks is the latest shard's end; Jobs concatenate
-// sorted by ID (globally unique across the stripes). Deterministic for a
-// given result slice, and used identically by the drain path and the offline
-// replayers, so served-vs-replayed comparisons stay bit-exact. A single
-// result passes through untouched.
+// sorted by ID (globally unique across the stripes). Every shard runs the
+// same scheduler configuration, so they share one Engine label.
+// Deterministic for a given result slice, and used identically by the drain
+// path and the offline replayers, so served-vs-replayed comparisons stay
+// bit-exact. A single result passes through untouched.
 func mergeResults(rs []*sim.Result) *sim.Result {
 	if len(rs) == 1 {
 		return rs[0]
@@ -217,9 +218,6 @@ func mergeResults(rs []*sim.Result) *sim.Result {
 		Engine:    rs[0].Engine,
 	}
 	for _, r := range rs {
-		if r.Engine != out.Engine {
-			out.Engine = "sharded"
-		}
 		out.M += r.M
 		out.Ticks = max(out.Ticks, r.Ticks)
 		out.TotalProfit += r.TotalProfit

@@ -364,9 +364,8 @@ func TestServeDrainUnderLoad(t *testing.T) {
 }
 
 // assertReplayIdentical re-simulates the replay log offline and compares the
-// Result byte-for-byte with the serving session's, modulo the Engine label
-// (the offline rerun may auto-route to the evented engine, which existing
-// equivalence tests pin to identical statistics).
+// Result byte-for-byte with the serving session's, Engine label included:
+// the offline rerun routes exactly as the serving session did.
 func assertReplayIdentical(t *testing.T, log *bytes.Buffer, served *sim.Result) {
 	t.Helper()
 	replayed, err := Replay(bytes.NewReader(log.Bytes()))
@@ -374,7 +373,6 @@ func assertReplayIdentical(t *testing.T, log *bytes.Buffer, served *sim.Result) 
 		t.Fatalf("replay: %v", err)
 	}
 	a, b := *served, *replayed
-	a.Engine, b.Engine = "", ""
 	aj, err := json.Marshal(&a)
 	if err != nil {
 		t.Fatal(err)

@@ -50,7 +50,7 @@ type shard struct {
 	idx    int
 	m      int  // this shard's processors (PartitionCapacity slice)
 	stride int  // total shard count; the ID stripe step
-	jump   bool // event-jump clock (resolveClock); false runs the ticker
+	jump   bool // event-jump clock (resolveClock); false wakes every tick
 
 	sched     sim.Scheduler
 	adm       admitter // nil when the scheduler has no admission query
@@ -110,41 +110,50 @@ type shard struct {
 func (sh *shard) baseID() int { return sh.idx + 1 - sh.stride }
 
 // engineLoop is the goroutine that owns all of this shard's mutable state.
-// With the ticker enabled it runs one of two clock disciplines: the fixed
-// wall-clock ticker below, or the event-jump loop (clock.go) when the
-// shard's session is event-safe.
+// It sleeps on one timer armed at nextWake (see clock.go) and catches the
+// session up to the wall clock before each mailbox message, so release
+// stamps and lookups are as fresh as a per-tick loop's.
 func (sh *shard) engineLoop() {
 	defer close(sh.engineDone)
-	if sh.srv.cfg.TickInterval > 0 && sh.jump {
-		sh.engineLoopJump()
-		return
+	timer := time.NewTimer(time.Hour)
+	if !timer.Stop() {
+		<-timer.C
 	}
-	var tickC <-chan time.Time
-	if sh.srv.cfg.TickInterval > 0 {
-		ticker := time.NewTicker(sh.srv.cfg.TickInterval)
-		defer ticker.Stop()
-		tickC = ticker.C
+	defer timer.Stop()
+	armed := false
+	rearm := func() {
+		if armed && !timer.Stop() {
+			// Fired while we were handling a message; drain the stale value
+			// so Reset arms cleanly. Non-blocking: under the unbuffered
+			// timer semantics Stop already guarantees an empty channel.
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		armed = false
+		if at, ok := sh.nextWake(); ok {
+			timer.Reset(time.Until(at))
+			armed = true
+		}
 	}
+	rearm()
 	for {
 		select {
 		case m := <-sh.reqs:
+			if !sh.quiesced && sh.srv.cfg.TickInterval > 0 {
+				sh.catchUp()
+			}
 			if sh.handle(m) {
 				return
 			}
-		case now := <-tickC:
-			if sh.obsReg != nil {
-				sh.obsReg.Inc("serve.ticker_wakeups", 1)
+			rearm()
+		case <-timer.C:
+			armed = false
+			if !sh.quiesced {
+				sh.wake()
 			}
-			if sh.quiesced {
-				continue // the clock is done moving; finalize fast-forwards
-			}
-			sh.advance(int64(time.Since(sh.srv.start) / sh.srv.cfg.TickInterval))
-			if sh.wal != nil {
-				if err := sh.wal.maybeSync(now); err != nil {
-					sh.degrade("wal sync", err)
-				}
-				sh.maybeCheckpoint(now)
-			}
+			rearm()
 		}
 	}
 }

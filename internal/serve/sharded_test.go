@@ -109,7 +109,6 @@ func TestShardedDrainMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := *res, *replayed
-	a.Engine, b.Engine = "", ""
 	aj, _ := json.Marshal(&a)
 	bj, _ := json.Marshal(&b)
 	if !bytes.Equal(aj, bj) {
@@ -380,7 +379,6 @@ func TestShardedRecoveryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := *res, *replayed
-	a.Engine, b.Engine = "", ""
 	aj, _ := json.Marshal(&a)
 	bj, _ := json.Marshal(&b)
 	if !bytes.Equal(aj, bj) {

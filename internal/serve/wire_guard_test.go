@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"testing"
 )
 
@@ -21,7 +22,9 @@ import (
 //     half an engine's worth of work per submission. Both sides replay the
 //     identical spec and advance cadence (benchAdvanceEvery /
 //     benchAdvanceTicks), so the ratio is workload-independent and holds on
-//     single-vCPU CI hosts where absolute throughput would not.
+//     single-vCPU CI hosts where absolute throughput would not. Both arms
+//     run at GOMAXPROCS=1, so the ratio does not depend on the host's core
+//     count either.
 func TestWireGuard(t *testing.T) {
 	if os.Getenv("SPAA_WIRE_GUARD") == "" {
 		t.Skip("set SPAA_WIRE_GUARD=1 to run the wire fast-path gate")
@@ -45,6 +48,12 @@ func TestWireGuard(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("appendJobResponse allocates %.1f per verdict, want 0", n)
 	}
+
+	// One P for both arms. With a second P the engine arm runs its GC on
+	// the idle P and gets faster, while the HTTP arm's client and server
+	// goroutines hand off across Ps and get slower: the ratio would then
+	// measure the host's core count rather than the wire path.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
 	const batchSize = 64
 	engine := testing.Benchmark(func(b *testing.B) {

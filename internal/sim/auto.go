@@ -21,10 +21,10 @@ func (r *RouteStats) Count(engine, _ string) {
 	}
 }
 
-// Tick returns how many runs were routed to the tick engine.
+// Tick returns how many runs decided every tick.
 func (r *RouteStats) Tick() int64 { return r.tick.Load() }
 
-// Evented returns how many runs were routed to the evented engine.
+// Evented returns how many runs held decisions across events.
 func (r *RouteStats) Evented() int64 { return r.evented.Load() }
 
 // EventSafe marks schedulers (and node-pick policies) whose decisions are
@@ -53,11 +53,12 @@ const (
 	reasonSafe        = "scheduler and policy are event-stationary"
 )
 
-// routeEngine decides which engine RunAuto uses for the given combination
-// and why. The evented engine is chosen only when equivalence is provable:
-// no fault injection (faults are defined per tick), no telemetry probes
-// (per-job probe expansion needs per-tick state), an event-safe scheduler,
-// and an event-safe policy (nil means dag.ByID, which is safe).
+// routeEngine decides whether a session may hold an allocation across ticks
+// (EngineEvented) or must decide every tick (EngineTick), and why. Holding is
+// chosen only when equivalence is provable: no fault injection (faults are
+// defined per tick), no telemetry probes (they sample per tick), an
+// event-safe scheduler, and an event-safe policy (nil means dag.ByID, which
+// is safe).
 func routeEngine(cfg Config, sched Scheduler) (engine, reason string) {
 	if cfg.Faults != nil {
 		return EngineTick, reasonFaults
@@ -81,18 +82,15 @@ func routeEngine(cfg Config, sched Scheduler) (engine, reason string) {
 	return EngineEvented, reasonSafe
 }
 
-// RunAuto simulates jobs under sched on whichever engine is provably
-// equivalent and fastest: the evented engine when the (scheduler, policy,
-// faults, probe) combination permits it, the tick engine otherwise. Results
-// are bit-identical either way; Result.Engine records the choice, and
-// Config.OnRoute (if set) observes it before the run starts.
+// RunAuto simulates jobs under sched, fast-forwarding between events when
+// the (scheduler, policy, faults, probe) combination permits it and ticking
+// otherwise. Results are bit-identical to Run either way; Result.Engine
+// records the choice, and Config.OnRoute (if set) observes it before the run
+// starts.
 func RunAuto(cfg Config, jobs []*Job, sched Scheduler) (*Result, error) {
 	eng, reason := routeEngine(cfg, sched)
 	if cfg.OnRoute != nil {
 		cfg.OnRoute(eng, reason)
 	}
-	if eng == EngineEvented {
-		return RunEvented(cfg, jobs, sched)
-	}
-	return Run(cfg, jobs, sched)
+	return run(cfg, jobs, sched, eng == EngineEvented)
 }

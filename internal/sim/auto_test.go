@@ -93,8 +93,8 @@ func TestRunAutoMatchesExplicitEngines(t *testing.T) {
 	}
 }
 
-// TestRunEnginesStamped checks that the explicit entry points stamp
-// Result.Engine too, so -json reports and tests can always tell runs apart.
+// TestRunEnginesStamped checks that both entry points stamp Result.Engine,
+// so -json reports and tests can always tell runs apart.
 func TestRunEnginesStamped(t *testing.T) {
 	a, err := Run(Config{M: 2}, autoJobs(t), &fifoSched{})
 	if err != nil {
@@ -103,12 +103,12 @@ func TestRunEnginesStamped(t *testing.T) {
 	if a.Engine != EngineTick {
 		t.Errorf("Run stamped %q, want %q", a.Engine, EngineTick)
 	}
-	b, err := RunEvented(Config{M: 2}, autoJobs(t), &fifoSched{})
+	b, err := RunAuto(Config{M: 2}, autoJobs(t), &markedSched{safe: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Engine != EngineEvented {
-		t.Errorf("RunEvented stamped %q, want %q", b.Engine, EngineEvented)
+		t.Errorf("RunAuto stamped %q, want %q", b.Engine, EngineEvented)
 	}
 }
 

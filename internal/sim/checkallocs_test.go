@@ -8,7 +8,7 @@ import (
 )
 
 // checkEngine builds a bare engine with two live jobs (IDs 1 and 2) for
-// exercising the allocation validator both engines share.
+// exercising the allocation validator.
 func checkEngine(t *testing.T) *engine {
 	t.Helper()
 	e := &engine{cfg: Config{M: 4}, live: make(map[int]*liveJob)}

@@ -49,10 +49,14 @@ func TestCommitmentBindingAndResolve(t *testing.T) {
 
 // committedFifo is fifoSched plus a commitment ledger: exactly the IDs in
 // committed are promised completion, so the engine must never expire them.
+// safe marks it event-stationary, so RunAuto holds decisions across ticks.
 type committedFifo struct {
 	fifoSched
 	committed map[int]bool
+	safe      bool
 }
+
+func (s *committedFifo) EventSafe() bool { return s.safe }
 
 func (s *committedFifo) Committed(id int) bool { return s.committed[id] }
 
@@ -81,12 +85,15 @@ func TestEngineCommittedJobRunsPastDeadline(t *testing.T) {
 		name   string
 		engine func(Config, []*Job, Scheduler) (*Result, error)
 	}{
-		{"tick", Run},
-		{"evented", RunEvented},
+		{EngineTick, Run},
+		{EngineEvented, RunAuto},
 	} {
-		res, err := run.engine(Config{M: 1}, mk(), &committedFifo{committed: map[int]bool{1: true}})
+		res, err := run.engine(Config{M: 1}, mk(), &committedFifo{committed: map[int]bool{1: true}, safe: true})
 		if err != nil {
 			t.Fatalf("%s: %v", run.name, err)
+		}
+		if res.Engine != run.name {
+			t.Fatalf("%s: ran on %q", run.name, res.Engine)
 		}
 		if res.Expired != 0 || res.Completed != 1 {
 			t.Fatalf("%s committed run: expired=%d completed=%d, want completion", run.name, res.Expired, res.Completed)

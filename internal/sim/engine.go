@@ -39,8 +39,8 @@ type Config struct {
 	// tick loop then performs only nil checks and allocates nothing extra.
 	Telemetry *telemetry.Recorder
 	// OnRoute, when set, is invoked once per RunAuto call with the chosen
-	// engine ("tick" or "evented") and the reason for the choice. Direct
-	// Run/RunEvented calls never invoke it.
+	// engine ("tick" or "evented") and the reason for the choice. Run and
+	// NewSession never invoke it.
 	OnRoute func(engine, reason string)
 }
 
@@ -75,15 +75,14 @@ type engine struct {
 	// already past lastUseful, so the fault-free hot path never pays for it.
 	committer Committer
 
-	// Reused per-tick/per-interval buffers.
+	// Reused per-interval buffers.
 	completedBuf []*liveJob
-	running      []runAlloc   // evented engine: the interval's running set
-	arena        []dag.NodeID // evented engine: picked nodes, all jobs
+	running      []runAlloc   // the interval's running set
+	arena        []dag.NodeID // picked nodes, all jobs
 }
 
-// runAlloc is one interval's execution record for a job in the evented
-// engine: the grant and the picked nodes as a window [lo, hi) into the
-// engine's node arena.
+// runAlloc is one interval's execution record for a job: the grant and the
+// picked nodes as a window [lo, hi) into the engine's node arena.
 type runAlloc struct {
 	lj     *liveJob
 	procs  int
@@ -116,50 +115,6 @@ func (e *engine) RemainingSpan(jobID int) int64 {
 	}
 	rem := lj.state.RemainingSpan()
 	return (rem + e.scale - 1) / e.scale
-}
-
-// prepareRun validates the configuration and jobs and builds the pieces both
-// engines share: the engine state, the result shell, the release-ordered job
-// list, and the effective node-pick policy.
-func prepareRun(cfg Config, jobs []*Job, sched Scheduler) (*engine, *Result, []*Job, dag.PickPolicy, error) {
-	if cfg.M < 1 {
-		return nil, nil, nil, nil, fmt.Errorf("sim: M = %d, need ≥ 1", cfg.M)
-	}
-	speed := cfg.Speed.Reduced()
-	if speed.IsZero() {
-		speed = rational.One()
-	}
-	if !speed.IsPositive() {
-		return nil, nil, nil, nil, fmt.Errorf("sim: speed %v must be positive", cfg.Speed)
-	}
-	if err := ValidateJobs(jobs); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	policy := cfg.Policy
-	if policy == nil {
-		policy = dag.ByID{}
-	}
-	e := &engine{
-		cfg:     cfg,
-		perTick: speed.Num,
-		scale:   speed.Den,
-		live:    make(map[int]*liveJob),
-	}
-	e.committer, _ = sched.(Committer)
-	res := &Result{
-		Scheduler: sched.Name(),
-		M:         cfg.M,
-		Speed:     speed.Float(),
-	}
-	if cfg.Record {
-		res.Trace = &Trace{M: cfg.M}
-	}
-	ordered := sortJobsByRelease(jobs)
-	for _, j := range ordered {
-		res.OfferedProfit += j.Profit.At(1)
-	}
-	sched.Init(Env{M: cfg.M, Speed: speed.Float()})
-	return e, res, ordered, policy, nil
 }
 
 // scaledGraph returns j's graph with node works multiplied by the engine's
@@ -279,16 +234,20 @@ func (e *engine) checkAllocs(t int64, allocs []Alloc, sched Scheduler) (int, err
 	return total, nil
 }
 
-// Run simulates jobs under sched and returns the outcome. It returns an
-// error for invalid configuration, malformed jobs, or a scheduler that
-// violates the allocation contract (oversubscription, unknown or finished
-// jobs, duplicate or non-positive allocations).
+// Run simulates jobs under sched tick by tick and returns the outcome. It
+// returns an error for invalid configuration, malformed jobs, or a scheduler
+// that violates the allocation contract (oversubscription, unknown or
+// finished jobs, duplicate or non-positive allocations).
 //
-// Run is a Session advanced to the end in one call; the per-tick logic
-// lives in Session.step, so batch runs and step-driven serving sessions
-// (internal/serve) share one code path and stay bit-identical.
+// Run is a per-tick Session advanced to the end in one call: the reference
+// schedule that RunAuto and event-safe sessions must reproduce bit for bit.
 func Run(cfg Config, jobs []*Job, sched Scheduler) (*Result, error) {
-	s, err := NewSession(cfg, jobs, sched)
+	return run(cfg, jobs, sched, false)
+}
+
+// run advances a fresh session to the end and returns its Result.
+func run(cfg Config, jobs []*Job, sched Scheduler, jump bool) (*Result, error) {
+	s, err := newSession(cfg, jobs, sched, jump)
 	if err != nil {
 		return nil, err
 	}
@@ -296,18 +255,6 @@ func Run(cfg Config, jobs []*Job, sched Scheduler) (*Result, error) {
 		return nil, err
 	}
 	return s.Finish(), nil
-}
-
-// recordRunAggregates folds a finished run's end-state counters into the
-// recorder's registry. Shared by both engines so their registries agree.
-func recordRunAggregates(rec *telemetry.Recorder, res *Result) {
-	reg := rec.Registry()
-	reg.Inc("sim.runs", 1)
-	reg.Inc("sim.ticks", res.Ticks)
-	reg.Inc("sim.busy_proc_ticks", res.BusyProcTicks)
-	reg.Inc("sim.idle_proc_ticks", res.IdleProcTicks)
-	reg.Inc("sim.completed", int64(res.Completed))
-	reg.Inc("sim.expired", int64(res.Expired))
 }
 
 // scaleGraph returns a copy of g with every node work multiplied by k,

@@ -45,6 +45,16 @@ func resultsEqual(t *testing.T, a, b *Result) error {
 	return nil
 }
 
+// runJump runs jobs through RunAuto with an event-safe scheduler, so the
+// session holds each decision until the next event, and checks the routing.
+func runJump(cfg Config, jobs []*Job) (*Result, error) {
+	res, err := RunAuto(cfg, jobs, &markedSched{safe: true})
+	if err == nil && res.Engine != EngineEvented {
+		return nil, fmt.Errorf("routed to %q, want %q", res.Engine, EngineEvented)
+	}
+	return res, err
+}
+
 func TestEventedMatchesTickSingleJob(t *testing.T) {
 	j := func() *Job {
 		return &Job{ID: 1, Graph: dag.ForkJoin(2, 3, 7), Release: 0, Profit: step(t, 5, 500)}
@@ -54,7 +64,7 @@ func TestEventedMatchesTickSingleJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunEvented(cfg, []*Job{j()}, &fifoSched{})
+	b, err := runJump(cfg, []*Job{j()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +86,7 @@ func TestEventedMatchesTickWithSpeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunEvented(cfg, jobs(), &fifoSched{})
+		b, err := runJump(cfg, jobs())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +108,7 @@ func TestEventedExpiryMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunEvented(cfg, jobs(), &fifoSched{})
+	b, err := runJump(cfg, jobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +129,7 @@ func TestEventedHorizonMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunEvented(cfg, jobs(), &fifoSched{})
+	b, err := runJump(cfg, jobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +140,7 @@ func TestEventedHorizonMatches(t *testing.T) {
 
 func TestEventedTraceExpandsToTicks(t *testing.T) {
 	j := &Job{ID: 1, Graph: dag.Chain(4, 5), Release: 0, Profit: step(t, 1, 100)}
-	res, err := RunEvented(Config{M: 1, Record: true}, []*Job{j}, &fifoSched{})
+	res, err := runJump(Config{M: 1, Record: true}, []*Job{j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +155,8 @@ func TestEventedTraceExpandsToTicks(t *testing.T) {
 }
 
 func TestPropEventedEquivalence(t *testing.T) {
-	// Random workloads, policies, speeds: evented must match ticked for the
-	// event-stationary test scheduler.
+	// Random workloads and speeds: holding decisions across events must
+	// match ticking for an event-stationary scheduler.
 	f := func(seed int64) bool {
 		jobs, m, sp := randomInstance(seed)
 		cfg := Config{M: m, Speed: sp}
@@ -155,7 +165,7 @@ func TestPropEventedEquivalence(t *testing.T) {
 			return false
 		}
 		jobs2, _, _ := randomInstance(seed)
-		b, err := RunEvented(cfg, jobs2, &fifoSched{})
+		b, err := runJump(cfg, jobs2)
 		if err != nil {
 			return false
 		}
@@ -225,17 +235,18 @@ func resultsEqualBool(a, b *Result) bool {
 
 func TestEventedRejectsBadConfig(t *testing.T) {
 	j := &Job{ID: 1, Graph: dag.Chain(1, 1), Release: 0, Profit: step(t, 1, 5)}
-	if _, err := RunEvented(Config{M: 0}, []*Job{j}, &fifoSched{}); err == nil {
+	if _, err := runJump(Config{M: 0}, []*Job{j}); err == nil {
 		t.Error("accepted M=0")
 	}
-	if _, err := RunEvented(Config{M: 1, Speed: rational.New(-1, 1)}, []*Job{j}, &fifoSched{}); err == nil {
+	if _, err := runJump(Config{M: 1, Speed: rational.New(-1, 1)}, []*Job{j}); err == nil {
 		t.Error("accepted negative speed")
 	}
 }
 
 func BenchmarkTickVsEventedCoarse(b *testing.B) {
-	// A coarse-grained workload (few large nodes): evented should be far
-	// faster. Run both to compare in -bench output.
+	// A coarse-grained workload (few large nodes): holding decisions across
+	// events should be far faster than ticking. Run both to compare in
+	// -bench output.
 	mk := func(t *testing.B) []*Job {
 		t.Helper()
 		var jobs []*Job
@@ -251,7 +262,7 @@ func BenchmarkTickVsEventedCoarse(b *testing.B) {
 	b.Run("tick", func(b *testing.B) {
 		jobs := mk(b)
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(Config{M: 4}, jobs, &fifoSched{}); err != nil {
+			if _, err := Run(Config{M: 4}, jobs, &markedSched{safe: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -259,7 +270,7 @@ func BenchmarkTickVsEventedCoarse(b *testing.B) {
 	b.Run("evented", func(b *testing.B) {
 		jobs := mk(b)
 		for i := 0; i < b.N; i++ {
-			if _, err := RunEvented(Config{M: 4}, jobs, &fifoSched{}); err != nil {
+			if _, err := RunAuto(Config{M: 4}, jobs, &markedSched{safe: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -220,10 +220,26 @@ func TestCapacityAwareCallbacks(t *testing.T) {
 	}
 }
 
+// TestEventedRejectsFaults checks that fault injection keeps even an
+// event-safe scheduler on the per-tick path: faults are per-tick events.
 func TestEventedRejectsFaults(t *testing.T) {
 	j := &Job{ID: 1, Graph: dag.Chain(1, 1), Release: 0, Profit: step(t, 1, 5)}
-	if _, err := RunEvented(Config{M: 1, Faults: &faults.Config{Seed: 1}}, []*Job{j}, &fifoSched{}); err == nil {
-		t.Error("evented engine accepted fault injection")
+	cfg := Config{M: 1, Faults: &faults.Config{Seed: 1}}
+	var why string
+	cfg.OnRoute = func(_, reason string) { why = reason }
+	res, err := RunAuto(cfg, []*Job{j}, &markedSched{safe: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Engine != EngineTick || why != reasonFaults {
+		t.Errorf("faulty run on %q (%q), want %q (%q)", res.Engine, why, EngineTick, reasonFaults)
+	}
+	s, err := NewSession(cfg, []*Job{j}, &markedSched{safe: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.EventSafe() {
+		t.Error("faulty session holds decisions across ticks")
 	}
 }
 

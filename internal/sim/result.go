@@ -18,9 +18,10 @@ type JobStat struct {
 
 // Engine names for Result.Engine and the Config.OnRoute hook.
 const (
-	// EngineTick is the tick-by-tick engine (Run).
+	// EngineTick: the session decides every tick (Run).
 	EngineTick = "tick"
-	// EngineEvented is the event-jumping engine (RunEvented).
+	// EngineEvented: the session holds each decision until the next event
+	// (RunAuto and NewSession on event-safe configurations).
 	EngineEvented = "evented"
 )
 

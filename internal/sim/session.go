@@ -8,16 +8,21 @@ import (
 
 	"dagsched/internal/dag"
 	"dagsched/internal/faults"
+	"dagsched/internal/rational"
 	"dagsched/internal/telemetry"
 )
 
-// Session is the step-driven entry point to the tick engine: the same
-// simulation Run performs, sliced into externally clocked steps with support
-// for online job submission. A long-running process (internal/serve) drives
-// a Session from a wall clock and feeds it arrivals as they come in; Run is
-// a Session advanced to the end in one call, so the two are bit-identical by
-// construction — re-simulating a session's accepted job set offline
-// reproduces its Result exactly.
+// Session is the step-driven simulation engine: Run, RunAuto, and the
+// serving daemon (internal/serve) all drive one, so batch runs and
+// externally clocked sessions share one code path and stay bit-identical —
+// re-simulating a session's accepted job set offline reproduces its Result
+// exactly. A long-running process drives a Session from a wall clock and
+// feeds it arrivals as they come in.
+//
+// Each step makes one scheduling decision. When the configuration is
+// event-safe (see routeEngine) the decision is held until the next event —
+// an arrival, a completion, or an expiry — instead of being retaken every
+// tick; the held interval is the same as ticking, only faster.
 //
 // A Session is not safe for concurrent use; callers serialize access (the
 // serving daemon owns one from a single engine goroutine).
@@ -29,6 +34,7 @@ type Session struct {
 	policy dag.PickPolicy
 	rec    *telemetry.Recorder
 	fm     *faults.Model
+	jump   bool // hold each decision until the next event (event-safe)
 
 	t       int64
 	pending []*Job // scheduled arrivals, (release, ID)-ordered; pending[next:] due
@@ -36,7 +42,6 @@ type Session struct {
 	seen    map[int]bool // every job ID ever accepted
 
 	allocBuf []Alloc
-	nodeBuf  []dag.NodeID
 
 	// Fault bookkeeping, allocated only when injection is on.
 	ca         CapacityAware
@@ -69,13 +74,52 @@ const (
 
 // NewSession validates the configuration and job set and returns a session
 // positioned before the first tick. The jobs slice may be empty: online
-// submissions arrive later through Arrive.
+// submissions arrive later through Arrive. The session holds decisions
+// across ticks exactly when RunAuto would (EventSafe).
 func NewSession(cfg Config, jobs []*Job, sched Scheduler) (*Session, error) {
-	e, res, ordered, policy, err := prepareRun(cfg, jobs, sched)
-	if err != nil {
+	eng, _ := routeEngine(cfg, sched)
+	return newSession(cfg, jobs, sched, eng == EngineEvented)
+}
+
+// newSession builds a session; jump=false forces a decision every tick.
+func newSession(cfg Config, jobs []*Job, sched Scheduler, jump bool) (*Session, error) {
+	if cfg.M < 1 {
+		return nil, fmt.Errorf("sim: M = %d, need ≥ 1", cfg.M)
+	}
+	speed := cfg.Speed.Reduced()
+	if speed.IsZero() {
+		speed = rational.One()
+	}
+	if !speed.IsPositive() {
+		return nil, fmt.Errorf("sim: speed %v must be positive", cfg.Speed)
+	}
+	if err := ValidateJobs(jobs); err != nil {
 		return nil, err
 	}
-	res.Engine = EngineTick
+	policy := cfg.Policy
+	if policy == nil {
+		policy = dag.ByID{}
+	}
+	e := &engine{
+		cfg:     cfg,
+		perTick: speed.Num,
+		scale:   speed.Den,
+		live:    make(map[int]*liveJob),
+	}
+	e.committer, _ = sched.(Committer)
+	res := &Result{
+		Scheduler: sched.Name(),
+		M:         cfg.M,
+		Speed:     speed.Float(),
+		Engine:    EngineTick,
+	}
+	if jump {
+		res.Engine = EngineEvented
+	}
+	if cfg.Record {
+		res.Trace = &Trace{M: cfg.M}
+	}
+	ordered := sortJobsByRelease(jobs)
 	s := &Session{
 		cfg:     cfg,
 		e:       e,
@@ -83,6 +127,7 @@ func NewSession(cfg Config, jobs []*Job, sched Scheduler) (*Session, error) {
 		sched:   sched,
 		policy:  policy,
 		rec:     cfg.Telemetry,
+		jump:    jump,
 		pending: ordered,
 		seen:    make(map[int]bool, len(ordered)),
 		lastCap: cfg.M,
@@ -90,7 +135,9 @@ func NewSession(cfg Config, jobs []*Job, sched Scheduler) (*Session, error) {
 	}
 	for _, j := range ordered {
 		s.seen[j.ID] = true
+		res.OfferedProfit += j.Profit.At(1)
 	}
+	sched.Init(Env{M: cfg.M, Speed: speed.Float()})
 	if cfg.Faults != nil {
 		fm, err := faults.NewModel(*cfg.Faults, cfg.M)
 		if err != nil {
@@ -190,10 +237,15 @@ func (s *Session) Arrive(j *Job) error {
 // when no accepted job remains unfinished (the clock then stays put, so a
 // later Arrive restarts it at the next release). Tick t is simulated once
 // the clock passes t, so arrivals for tick t submitted before that keep
-// their place.
+// their place. A held decision never runs past now, so the clock, Lookup,
+// and Fingerprint are tick-exact after every call.
 func (s *Session) AdvanceTo(now int64) error {
 	if s.finished {
 		return fmt.Errorf("sim: AdvanceTo on a finished session")
+	}
+	limit := now
+	if s.cfg.Horizon > 0 {
+		limit = min(limit, s.cfg.Horizon)
 	}
 	for s.runnable() {
 		if s.cfg.Horizon > 0 && s.t >= s.cfg.Horizon {
@@ -205,7 +257,7 @@ func (s *Session) AdvanceTo(now int64) error {
 		if s.t >= now {
 			return nil
 		}
-		if err := s.step(); err != nil {
+		if err := s.step(limit); err != nil {
 			return err
 		}
 	}
@@ -232,17 +284,25 @@ func (s *Session) Finish() *Result {
 		s.fs.LostWork = s.lostScaled / s.e.scale
 	}
 	if s.rec != nil {
-		recordRunAggregates(s.rec, s.res)
+		reg := s.rec.Registry()
+		reg.Inc("sim.runs", 1)
+		reg.Inc("sim.ticks", s.res.Ticks)
+		reg.Inc("sim.busy_proc_ticks", s.res.BusyProcTicks)
+		reg.Inc("sim.idle_proc_ticks", s.res.IdleProcTicks)
+		reg.Inc("sim.completed", int64(s.res.Completed))
+		reg.Inc("sim.expired", int64(s.res.Expired))
 	}
 	return s.res
 }
 
-// step simulates one tick: due arrivals, expiries, the fault prologue, the
-// scheduler's allocation, execution, probe sampling, preemption accounting,
-// and completions. When the live set is empty after expiries the tick is
-// not consumed — the caller's loop jumps the clock instead, mirroring Run's
-// original control flow.
-func (s *Session) step() error {
+// step simulates one decision interval from the clock: due arrivals,
+// expiries, the fault prologue, the scheduler's allocation, execution, probe
+// sampling, preemption accounting, and completions. The interval is one tick
+// unless the session is event-safe, in which case the decision is held
+// until the next event or limit (see interval); routing never gives faults
+// or probes more than one tick. When the live set is empty after expiries no
+// tick is consumed — the caller's loop jumps the clock instead.
+func (s *Session) step(limit int64) error {
 	t := s.t
 	e, res, rec, sched, cfg := s.e, s.res, s.rec, s.sched, s.cfg
 	mark := len(res.Jobs)
@@ -310,26 +370,21 @@ func (s *Session) step() error {
 		return err
 	}
 
-	// Execution.
-	var tick *TickRecord
-	if res.Trace != nil {
-		res.Trace.Ticks = append(res.Trace.Ticks, TickRecord{T: t})
-		tick = &res.Trace.Ticks[len(res.Trace.Ticks)-1]
-	}
+	// Pick every grant's running nodes into one arena; each runAlloc
+	// records its window.
 	var tf *TickFaults
-	if s.fm != nil && tick != nil {
+	if s.fm != nil && res.Trace != nil {
 		tf = &TickFaults{Capacity: len(upList)}
 		for p := 0; p < cfg.M; p++ {
 			if !s.curUp[p] {
 				tf.Down = append(tf.Down, p)
 			}
 		}
-		tick.Faults = tf
 	}
 	busy := 0
 	upCursor := 0
-	completed := e.completedBuf[:0]
-	nodeBuf := s.nodeBuf
+	running := e.running[:0]
+	arena := e.arena[:0]
 	for _, a := range s.allocBuf {
 		lj := e.live[a.JobID]
 		if rec != nil && a.Procs != lj.lastProcs {
@@ -362,18 +417,17 @@ func (s *Session) step() error {
 			}
 			upCursor += take
 		}
+		lo := len(arena)
 		if procs > 0 {
-			nodeBuf = s.policy.Pick(lj.state, procs, nodeBuf[:0])
-		} else {
-			nodeBuf = nodeBuf[:0]
+			arena = s.policy.Pick(lj.state, procs, arena)
 		}
-		if s.fm != nil && len(nodeBuf) > 0 {
+		if s.fm != nil && len(arena) > lo {
 			// Execution failures: the node's attempt produces nothing
 			// and its accumulated work is discarded.
 			var lost int64
 			failed := false
-			kept := nodeBuf[:0]
-			for _, v := range nodeBuf {
+			kept := arena[lo:lo]
+			for _, v := range arena[lo:] {
 				if s.fm.NodeFails(t, a.JobID, int(v)) {
 					failed = true
 					l := lj.state.ResetNode(v)
@@ -386,7 +440,7 @@ func (s *Session) step() error {
 					kept = append(kept, v)
 				}
 			}
-			nodeBuf = kept
+			arena = arena[:lo+len(kept)]
 			if failed {
 				s.lostScaled += lost
 				if rec != nil {
@@ -399,26 +453,43 @@ func (s *Session) step() error {
 				}
 			}
 		}
-		for _, v := range nodeBuf {
-			lj.state.Apply(v, e.perTick)
+		running = append(running, runAlloc{lj: lj, procs: a.Procs, lo: lo, hi: len(arena)})
+		busy += len(arena) - lo
+	}
+	e.running, e.arena = running[:0], arena
+
+	delta := int64(1)
+	if s.jump {
+		delta = s.interval(t, limit, running)
+	}
+
+	// Execution: the decision held for delta ticks.
+	completed := e.completedBuf[:0]
+	for _, r := range running {
+		for _, v := range arena[r.lo:r.hi] {
+			r.lj.state.Apply(v, delta*e.perTick)
 		}
-		busy += len(nodeBuf)
-		lj.stat.ProcTicks += int64(a.Procs)
-		lj.ranNow = true
-		if tick != nil {
-			tick.Allocs = append(tick.Allocs, AllocRecord{
-				JobID: a.JobID,
-				Procs: a.Procs,
-				Nodes: append([]dag.NodeID(nil), nodeBuf...),
-			})
-		}
-		if lj.state.Done() {
-			completed = append(completed, lj)
+		r.lj.stat.ProcTicks += delta * int64(r.procs)
+		r.lj.ranNow = true
+		if r.lj.state.Done() {
+			completed = append(completed, r.lj)
 		}
 	}
-	s.nodeBuf = nodeBuf
-	res.BusyProcTicks += int64(busy)
-	res.IdleProcTicks += int64(cfg.M - busy)
+	res.BusyProcTicks += delta * int64(busy)
+	res.IdleProcTicks += delta * int64(cfg.M-busy)
+	if res.Trace != nil {
+		for dt := int64(0); dt < delta; dt++ {
+			tick := TickRecord{T: t + dt, Faults: tf}
+			for _, r := range running {
+				tick.Allocs = append(tick.Allocs, AllocRecord{
+					JobID: r.lj.job.ID,
+					Procs: r.procs,
+					Nodes: append([]dag.NodeID(nil), arena[r.lo:r.hi]...),
+				})
+			}
+			res.Trace.Ticks = append(res.Trace.Ticks, tick)
+		}
+	}
 
 	// Probe sampling (post-execution state of the sampled tick).
 	if rec != nil && rec.Probe.Want(t) {
@@ -450,7 +521,8 @@ func (s *Session) step() error {
 		}
 	}
 
-	// Preemption accounting.
+	// Preemption accounting at the decision boundary: within an interval
+	// the running set is constant.
 	for _, lj := range e.liveList {
 		if lj.ranLast && !lj.ranNow && !lj.state.Done() {
 			lj.stat.Preemptions++
@@ -465,25 +537,26 @@ func (s *Session) step() error {
 		lj.ranNow = false
 	}
 
-	// Completions (at time t+1).
+	// Completions, stamped after the interval's last tick.
+	endT := t + delta - 1
 	for _, lj := range completed {
 		lj.done = true
 		lj.stat.Completed = true
-		lj.stat.CompletedAt = t + 1
-		lj.stat.Latency = t + 1 - lj.job.Release
+		lj.stat.CompletedAt = endT + 1
+		lj.stat.Latency = endT + 1 - lj.job.Release
 		lj.stat.Profit = lj.job.Profit.At(lj.stat.Latency)
 		res.TotalProfit += lj.stat.Profit
 		res.Completed++
 		res.Jobs = append(res.Jobs, lj.stat)
 		if rec != nil {
-			ev := telemetry.JobEvent(t+1, telemetry.KindComplete, lj.job.ID)
+			ev := telemetry.JobEvent(endT+1, telemetry.KindComplete, lj.job.ID)
 			ev.Value = lj.stat.Profit
 			rec.Emit(ev)
 			rec.Registry().Observe("job.latency", float64(lj.stat.Latency))
-			rec.Registry().Observe("job.slack_at_finish", float64(lj.lastUseful-t))
+			rec.Registry().Observe("job.slack_at_finish", float64(lj.lastUseful-endT))
 		}
 		delete(e.live, lj.job.ID)
-		sched.OnCompletion(t, lj.job.ID)
+		sched.OnCompletion(endT, lj.job.ID)
 	}
 	if len(completed) > 0 {
 		e.compactLive()
@@ -493,22 +566,49 @@ func (s *Session) step() error {
 	}
 	e.completedBuf = completed[:0]
 	s.indexDone(mark)
-	s.t = t + 1
+	s.t = endT + 1
 	return nil
+}
+
+// interval returns how many ticks the decision just taken at t may be held:
+// until the earliest of a picked node completing, the next pending release,
+// a non-committed live job's expiry (lastUseful+1), or limit. Between those
+// events an event-safe scheduler and policy would repeat the same decision
+// every tick, so holding it is the same as ticking. Every bound is at least
+// one tick, so the live-set scan stops as soon as the interval is one tick.
+func (s *Session) interval(t, limit int64, running []runAlloc) int64 {
+	e := s.e
+	delta := limit - t
+	for _, r := range running {
+		for _, v := range e.arena[r.lo:r.hi] {
+			delta = min(delta, (r.lj.state.Remaining(v)+e.perTick-1)/e.perTick)
+		}
+	}
+	if s.next < len(s.pending) {
+		delta = min(delta, s.pending[s.next].Release-t)
+	}
+	for i := 0; i < len(e.liveList) && delta > 1; i++ {
+		// A committed job has no expiry event: it leaves only by
+		// completing, which the node bound already covers.
+		lj := e.liveList[i]
+		if gap := lj.lastUseful + 1 - t; gap < delta &&
+			(e.committer == nil || !e.committer.Committed(lj.job.ID)) {
+			delta = gap
+		}
+	}
+	return max(delta, 1)
 }
 
 // EventSafe reports whether this session's (scheduler, policy, faults,
 // probe) combination is event-stationary under the RunAuto routing rules:
-// nothing observable changes between arrivals, expiries, and completions.
-// A serving loop may then replace its fixed per-tick wakeup with a timer
-// armed to NextEventHint — the session's evolution depends only on the
-// sequence of (Arrive, AdvanceTo) operations and their clock values, never
-// on how many AdvanceTo calls delivered them, so bursting deferred ticks at
-// the next event stays bit-identical to ticking every interval.
-func (s *Session) EventSafe() bool {
-	eng, _ := routeEngine(s.cfg, s.sched)
-	return eng == EngineEvented
-}
+// nothing observable changes between arrivals, expiries, and completions,
+// so the session holds each decision until the next event. A serving loop
+// may then replace its fixed per-tick wakeup with a timer armed to
+// NextEventHint — the session's evolution depends only on the sequence of
+// (Arrive, AdvanceTo) operations and their clock values, never on how many
+// AdvanceTo calls delivered them, so bursting deferred ticks at the next
+// event stays bit-identical to ticking every interval.
+func (s *Session) EventSafe() bool { return s.jump }
 
 // NextEventHint returns a lower bound on the next tick whose simulation can
 // change observable state: the earliest pending release, the earliest live

@@ -413,3 +413,85 @@ func TestSessionHintNeverLate(t *testing.T) {
 		t.Fatalf("loop ended with %d live, %d pending", s.Live(), s.Pending())
 	}
 }
+
+// TestSessionClippedIntervalsMatchTicking drives an event-safe session, which
+// holds each decision until the next event, beside a per-tick session over
+// the same arrivals, and advances both to irregular, lagged clocks: repeats,
+// single ticks, and long strides. A held interval must stop at every
+// AdvanceTo target, so after each call the two sessions agree on the
+// fingerprint and on every job's Lookup, and their final Results match.
+func TestSessionClippedIntervalsMatchTicking(t *testing.T) {
+	for _, online := range []bool{false, true} {
+		jobs := sessionJobs(t, 40)
+		var upfront []*Job
+		next := len(jobs) // jobs still to submit online
+		if online {
+			next = 0
+		} else {
+			upfront = jobs
+		}
+		jump, err := NewSession(Config{M: 5}, upfront, &markedSched{safe: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tick, err := newSession(Config{M: 5}, upfront, &markedSched{safe: true}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !jump.EventSafe() || tick.EventSafe() {
+			t.Fatal("want one event-safe session and one per-tick session")
+		}
+		same := func(when string) {
+			t.Helper()
+			if jump.Now() != tick.Now() || jump.Fingerprint() != tick.Fingerprint() {
+				t.Fatalf("online=%v %s: clock %d vs %d, fingerprints differ", online, when, jump.Now(), tick.Now())
+			}
+			for id := 1; id <= len(jobs); id++ {
+				as, astate := jump.Lookup(id)
+				bs, bstate := tick.Lookup(id)
+				if as != bs || astate != bstate {
+					t.Fatalf("online=%v %s: job %d is %s %+v vs %s %+v", online, when, id, astate, as, bstate, bs)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(5))
+		for now := int64(0); next < len(jobs) || !jump.Idle(); {
+			switch r := rng.Intn(10); {
+			case r == 0:
+				now += 15 + int64(rng.Intn(30)) // a long lag, caught up at once
+			case r < 3:
+				// a repeated target
+			default:
+				now += 1 + int64(rng.Intn(4))
+			}
+			for _, s := range []*Session{jump, tick} {
+				if err := s.AdvanceTo(now); err != nil {
+					t.Fatal(err)
+				}
+			}
+			same("after AdvanceTo")
+			if next < len(jobs) && rng.Intn(2) == 0 {
+				for _, s := range []*Session{jump, tick} {
+					j := *jobs[next]
+					j.Release = s.Now() // stamped by the clock, as a server does
+					if err := s.Arrive(&j); err != nil {
+						t.Fatal(err)
+					}
+				}
+				next++
+				same("after Arrive")
+			}
+			if now > 1e5 {
+				t.Fatal("sessions never went idle")
+			}
+		}
+		a, b := jump.Finish(), tick.Finish()
+		if a.Engine != EngineEvented || b.Engine != EngineTick {
+			t.Fatalf("engines %q/%q, want %q/%q", a.Engine, b.Engine, EngineEvented, EngineTick)
+		}
+		b.Engine = a.Engine
+		if x, y := resultJSON(t, a), resultJSON(t, b); x != y {
+			t.Fatalf("online=%v: results diverge:\n jump %s\n tick %s", online, x, y)
+		}
+	}
+}

@@ -51,11 +51,8 @@ type JobSample struct {
 // detailed but proportionally more expensive — probes are opt-in and the
 // engines skip all sampling work entirely when no probe is attached.
 //
-// The tick engine samples every stride tick exactly. The event-driven
-// engine expands machine samples across fast-forwarded intervals (the
-// values are provably constant between events, except the final interval
-// tick's ready count, which it computes exactly); per-job series are only
-// recorded by the tick engine.
+// A probed simulation decides every tick (it never holds a decision across
+// events), so every stride tick is sampled exactly.
 type Probe struct {
 	Every  int64 // sampling stride in ticks (≤ 1 = every tick)
 	PerJob bool  // also record per-job executed/span/slack series

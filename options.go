@@ -44,7 +44,7 @@ func WithFaults(f FaultsConfig) Option {
 func WithRecorder(r *Recorder) Option { return func(c *SimConfig) { c.Telemetry = r } }
 
 // WithRouteHook observes RunAuto's engine choice (engine, reason) once per
-// call. Direct Run/RunEvented calls never invoke it.
+// call. Run and NewSession never invoke it.
 func WithRouteHook(fn func(engine, reason string)) Option {
 	return func(c *SimConfig) { c.OnRoute = fn }
 }
