@@ -51,9 +51,10 @@ api-update:
 # path per-op cost within 1.6x of single-shard, i.e. aggregate >= 2.5x — see
 # TestShardedEnginePathGuard and BENCH_PR7.json for methodology), plus a
 # short 100-iteration smoke over the engine, queue, and admission
-# micro-benchmarks so a broken benchmark is caught before it hides a perf
-# regression. (The BenchmarkEXP_* table regenerations are excluded: at 100
-# iterations they are a full suite run, not a smoke.)
+# micro-benchmarks (internal/core's BenchmarkAdmission and
+# BenchmarkAdmitFromP among them) so a broken benchmark is caught before it
+# hides a perf regression. (The BenchmarkEXP_* table regenerations are
+# excluded: at 100 iterations they are a full suite run, not a smoke.)
 bench-guard:
 	go vet ./...
 	go test -run TestTelemetryNilPathAllocations .

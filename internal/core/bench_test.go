@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"dagsched/internal/core"
@@ -50,5 +51,54 @@ func benchAdmission(b *testing.B, n int) {
 func BenchmarkAdmission(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchAdmission(b, n) })
+	}
+}
+
+// BenchmarkAdmitFromP measures one completion at the queue sizes the batch
+// serving workload reaches on a wide machine: m = 1024, 280 jobs in Q and 70
+// parked in P, with work, span, deadline and profit drawn from that
+// workload's ranges. A completion changes Q, so condition (2) is re-run for
+// every job in P against fresh band sums. The completed job is a chain of
+// negligible density whose band holds nothing else, so its completion
+// admits nothing from P; it re-arrives right after (one admission query,
+// included in the timing), and Q and P keep their sizes across iterations.
+func BenchmarkAdmitFromP(b *testing.B) {
+	const wantQ, wantP = 280, 70
+	s := core.NewSchedulerS(core.Options{Params: core.MustParams(1)})
+	s.Init(sim.Env{M: 1024, Speed: 1})
+	rng := rand.New(rand.NewSource(1))
+	for id := 0; ; id++ {
+		q, p := s.QueueSizes()
+		if q >= wantQ && p >= wantP {
+			break
+		}
+		if id > 100_000 {
+			b.Fatalf("could not fill the queues: |Q|=%d |P|=%d", q, p)
+		}
+		fn, err := profit.NewStep(float64(1+rng.Intn(10)), 20+rng.Int63n(181))
+		if err != nil {
+			b.Fatal(err)
+		}
+		v := sim.JobView{ID: id, W: 60 + rng.Int63n(201), L: 1 + rng.Int63n(24), Profit: fn}
+		if admit := s.Admission(v).Admit; admit && q < wantQ || !admit && p < wantP {
+			s.OnArrival(0, v)
+		}
+	}
+	fn, err := profit.NewStep(1e-9, 1_000_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	victim := sim.JobView{ID: -1, W: 1, L: 1, Profit: fn}
+	s.OnArrival(0, victim)
+	q0, p0 := s.QueueSizes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.OnCompletion(0, victim.ID)
+		s.OnArrival(0, victim)
+	}
+	b.StopTimer()
+	if q, p := s.QueueSizes(); q != q0 || p != p0 {
+		b.Fatalf("queues drifted from |Q|=%d |P|=%d to |Q|=%d |P|=%d", q0, p0, q, p)
 	}
 }

@@ -34,6 +34,7 @@ type SchedulerNC struct {
 	p    queue.DensityList
 	band queue.BandIndex
 	info map[int]*ncJob
+	qVer uint64 // Q's version for band memos: bumped by admit and dropFromQ
 
 	started   int
 	startedPr float64
@@ -54,6 +55,7 @@ type ncJob struct {
 	profit  float64
 	good    bool
 	inQ     bool
+	band    bandMemo // N(Q, v_j, c·v_j) while the job is in Q
 }
 
 // NewSchedulerNC returns a configured non-clairvoyant scheduler. It panics
@@ -132,7 +134,9 @@ func (s *SchedulerNC) recompute(j *ncJob) {
 	j.good = (1+2*par.Delta)*j.x <= d
 }
 
-// bandOK is condition (2) against the current Q (same structure as in S).
+// bandOK is condition (2) against the current Q (same structure as in S):
+// the scan starts at the first queued job with density ≤ v, and queued jobs'
+// band sums are memoized until Q next changes.
 func (s *SchedulerNC) bandOK(cand *ncJob) bool {
 	par := s.opts.Params
 	bm := par.B() * float64(s.m)
@@ -141,14 +145,11 @@ func (s *SchedulerNC) bandOK(cand *ncJob) bool {
 		return false
 	}
 	ok := true
-	s.q.ForEach(func(it queue.Item) bool {
-		if it.Density > v {
-			return true
-		}
+	s.q.ForEachFrom(v, func(it queue.Item) bool {
 		if it.Density*par.C <= v {
 			return false
 		}
-		if s.band.SumRange(it.Density, par.C*it.Density)+cand.weight > bm {
+		if s.info[it.ID].band.get(s.qVer, s.band, it, par.C)+cand.weight > bm {
 			ok = false
 			return false
 		}
@@ -161,6 +162,7 @@ func (s *SchedulerNC) admit(j *ncJob) {
 	it := queue.Item{ID: j.view.ID, Density: j.density, Weight: j.weight}
 	s.q.Insert(it)
 	s.band.Insert(it)
+	s.qVer++
 	if !j.inQ {
 		s.started++
 		s.startedPr += j.profit
@@ -172,6 +174,7 @@ func (s *SchedulerNC) dropFromQ(id int) {
 	if it, ok := s.q.Get(id); ok {
 		s.q.Remove(id)
 		s.band.Remove(id, it.Density)
+		s.qVer++
 	}
 	if j, ok := s.info[id]; ok {
 		j.inQ = false

@@ -110,6 +110,31 @@ type jobInfo struct {
 	// commit point of a binding commitment level); it may no longer be
 	// abandoned, not even past its deadline.
 	committed bool
+
+	band bandMemo // N(Q, v_i, c·v_i) while the job is in Q
+}
+
+// bandMemo memoizes one queued job's band sum N(Q, v_j, c·v_j) for condition
+// (2), tagged with the version of Q it was read against. A scheduler bumps
+// its Q version on every insert into or removal from Q; the band index
+// changes only together with Q, so a memo whose version is current holds
+// exactly what SumRange would return. Memos are per job and filled lazily:
+// a completion that re-runs condition (2) for every parked job reads each
+// queued job's band once, and rebuilding a whole-Q table on each change
+// instead would cost O(|Q|) per arrival.
+type bandMemo struct {
+	sum float64
+	ver uint64
+}
+
+// get returns the band sum of queued item it, reading band only when the
+// memo is older than Q version ver.
+func (m *bandMemo) get(ver uint64, band queue.BandIndex, it queue.Item, c float64) float64 {
+	if m.ver != ver {
+		m.sum = band.SumRange(it.Density, c*it.Density)
+		m.ver = ver
+	}
+	return m.sum
 }
 
 // SchedulerS is the paper's Section 3 algorithm for jobs with deadlines and
@@ -123,6 +148,7 @@ type SchedulerS struct {
 	p    *queue.DensityTreap // waiting jobs, density-descending
 	band queue.BandIndex     // allotments of Q by density
 	info map[int]*jobInfo
+	qVer uint64 // Q's version for band memos: bumped by admit and dropFromQ
 
 	admitBuf, staleBuf []int // admitFromP scratch, reused across calls
 	expiredBuf         []int // Assign scratch, reused across ticks
@@ -328,7 +354,8 @@ type Decision struct {
 // instant, without taking it: δ-goodness, condition (2) against the current
 // band occupancy, and the arrival-time plan. It reads but never mutates the
 // queues, so a serving front end can answer an admit/reject query before
-// committing the arrival to the engine. Init must have been called.
+// committing the arrival to the engine (it may fill the band-sum memos of
+// queued jobs, which changes no verdict). Init must have been called.
 func (s *SchedulerS) Admission(v sim.JobView) Decision {
 	info := s.computeInfo(v)
 	d := Decision{Plan: Plan{
@@ -357,8 +384,10 @@ func (s *SchedulerS) Admission(v sim.JobView) Decision {
 // check cand's own band plus the bands of queued jobs J_j with
 // v_j ∈ (v_cand/c, v_cand]. ForEachFrom lands on the first such job in
 // O(log n) — the denser prefix, whose bands cannot contain v, is skipped
-// structurally — and each band sum is an O(log n) treap query, so the whole
-// check costs O(k log n) for the k jobs inside one multiplicative band.
+// structurally. cand's own band is one O(log n) treap query; each queued
+// job's band sum is memoized until Q next changes (bandMemo), so the check
+// costs O(log n + k) for the k jobs inside one multiplicative band, plus
+// O(log n) per band sum not yet read against the current Q.
 func (s *SchedulerS) bandOK(cand *jobInfo) bool {
 	par := s.opts.Params
 	bm := par.B() * float64(s.m)
@@ -377,7 +406,7 @@ func (s *SchedulerS) bandOK(cand *jobInfo) bool {
 		if v >= it.Density && v < it.Density*par.C {
 			extra = add
 		}
-		if s.band.SumRange(it.Density, par.C*it.Density)+extra > bm {
+		if s.info[it.ID].band.get(s.qVer, s.band, it, par.C)+extra > bm {
 			ok = false
 			return false
 		}
@@ -396,6 +425,7 @@ func (s *SchedulerS) admit(info *jobInfo) {
 	it := queue.Item{ID: info.view.ID, Density: info.density, Weight: info.weight}
 	s.q.Insert(it)
 	s.band.Insert(it)
+	s.qVer++
 	s.started++
 	s.startedPr += info.profit
 }
@@ -405,6 +435,7 @@ func (s *SchedulerS) dropFromQ(id int) {
 	if it, ok := s.q.Get(id); ok {
 		s.q.Remove(id)
 		s.band.Remove(id, it.Density)
+		s.qVer++
 	}
 }
 

@@ -31,6 +31,7 @@ type DAG struct {
 	totalWork int64
 	span      int64
 	order     []NodeID // cached topological order
+	down      []int64  // down[v] = longest path starting at v (inclusive)
 }
 
 // NumNodes returns the number of nodes.
@@ -137,7 +138,8 @@ func (b *Builder) Build() (*DAG, error) {
 		g.totalWork += w
 	}
 	// Longest path over the topological order.
-	down := make([]int64, n) // down[v] = longest path starting at v (inclusive)
+	down := make([]int64, n)
+	g.down = down
 	for i := n - 1; i >= 0; i-- {
 		v := order[i]
 		best := int64(0)

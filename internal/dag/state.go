@@ -17,9 +17,6 @@ type State struct {
 
 	completedNodes int
 	executedWork   int64
-
-	downDirty bool
-	down      []int64 // cached remaining-longest-path per incomplete node
 }
 
 // NewState returns a fresh execution state for g: nothing executed, sources
@@ -31,8 +28,6 @@ func NewState(g *DAG) *State {
 		remaining:    append([]int64(nil), g.work...),
 		missingPreds: make([]int32, n),
 		readyPos:     make([]int32, n),
-		downDirty:    true,
-		down:         make([]int64, n),
 	}
 	for v := 0; v < n; v++ {
 		s.missingPreds[v] = int32(len(g.preds[v]))
@@ -97,7 +92,6 @@ func (s *State) Apply(v NodeID, units int64) int64 {
 	}
 	s.remaining[v] -= consumed
 	s.executedWork += consumed
-	s.downDirty = true
 	if s.remaining[v] == 0 {
 		s.removeReady(v)
 		s.completedNodes++
@@ -127,56 +121,34 @@ func (s *State) ResetNode(v NodeID) int64 {
 	}
 	s.remaining[v] = s.g.work[v]
 	s.executedWork -= done
-	s.downDirty = true
 	return done
 }
 
 // RemainingSpan returns the remaining critical-path length: the longest
 // chain of unprocessed work through incomplete nodes. For an untouched job
-// this equals Span(); for a done job it is zero.
+// this equals Span(); for a done job it is zero. Every remaining chain
+// starts at a ready node, so this is O(|ready|) (see DownLength).
 func (s *State) RemainingSpan() int64 {
-	s.refreshDown()
 	best := int64(0)
 	for _, v := range s.ready {
-		if s.down[v] > best {
-			best = s.down[v]
+		if d := s.DownLength(v); d > best {
+			best = d
 		}
 	}
 	return best
 }
 
 // DownLength returns the longest remaining path starting at (and including
-// the remaining work of) node v. Only meaningful for incomplete nodes; used
-// by clairvoyant and adversarial node-pick policies.
+// the remaining work of) node v, or 0 for a completed node. It is used by
+// clairvoyant and adversarial node-pick policies. Only ready nodes hold
+// partial progress (see ResetNode), and every descendant of an incomplete
+// node is untouched, so the remaining path is the graph's static down
+// length less the work already done on v itself.
 func (s *State) DownLength(v NodeID) int64 {
-	s.refreshDown()
-	return s.down[v]
-}
-
-// refreshDown recomputes the remaining-longest-path DP if stale. Incomplete
-// nodes form an upward-closed set (a successor of an incomplete node is
-// incomplete), so a reverse topological sweep over all nodes, skipping
-// completed ones, is correct.
-func (s *State) refreshDown() {
-	if !s.downDirty {
-		return
+	if s.remaining[v] == 0 {
+		return 0
 	}
-	order := s.g.order
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		if s.remaining[v] == 0 {
-			s.down[v] = 0
-			continue
-		}
-		best := int64(0)
-		for _, u := range s.g.succs[v] {
-			if s.down[u] > best {
-				best = s.down[u]
-			}
-		}
-		s.down[v] = best + s.remaining[v]
-	}
-	s.downDirty = false
+	return s.remaining[v] + s.g.down[v] - s.g.work[v]
 }
 
 func (s *State) pushReady(v NodeID) {

@@ -281,3 +281,80 @@ func TestExecutedWorkAccounting(t *testing.T) {
 		t.Errorf("RemainingWork = %d", s.RemainingWork())
 	}
 }
+
+// dpDown is the reverse-topological DP State kept before RemainingSpan read
+// the graph's static down lengths: the longest remaining path from each
+// node, 0 on completed nodes. Incomplete nodes are upward-closed, so one
+// sweep over the topological order suffices.
+func dpDown(s *State) []int64 {
+	g := s.DAG()
+	down := make([]int64, g.NumNodes())
+	for i := len(g.order) - 1; i >= 0; i-- {
+		v := g.order[i]
+		if s.Remaining(v) == 0 {
+			continue
+		}
+		best := int64(0)
+		for _, u := range g.Successors(v) {
+			if down[u] > best {
+				best = down[u]
+			}
+		}
+		down[v] = best + s.Remaining(v)
+	}
+	return down
+}
+
+// TestRemainingSpanMatchesDP drives random DAGs (arbitrary forward edges and
+// layered shapes) through random partial Apply calls and ResetNode failures
+// and requires RemainingSpan and every node's DownLength to equal the full
+// DP after each step.
+func TestRemainingSpanMatchesDP(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 60; trial++ {
+		var g *DAG
+		if trial%2 == 0 {
+			b := NewBuilder()
+			n := 1 + rng.Intn(30)
+			for v := 0; v < n; v++ {
+				b.AddNode(1 + rng.Int63n(9))
+			}
+			for e := rng.Intn(2 * n); e > 0; e-- {
+				u, v := rng.Intn(n), rng.Intn(n)
+				if u < v {
+					b.AddEdge(NodeID(u), NodeID(v))
+				}
+			}
+			g = b.MustBuild()
+		} else {
+			g = Layered(rng, 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Int63n(8), rng.Float64())
+		}
+		s := NewState(g)
+		var ready []NodeID
+		for step := 0; ; step++ {
+			want := dpDown(s)
+			span := int64(0)
+			for v, d := range want {
+				if got := s.DownLength(NodeID(v)); got != d {
+					t.Fatalf("trial %d step %d: DownLength(%d) = %d, DP %d", trial, step, v, got, d)
+				}
+				if d > span {
+					span = d
+				}
+			}
+			if got := s.RemainingSpan(); got != span {
+				t.Fatalf("trial %d step %d: RemainingSpan = %d, DP %d", trial, step, got, span)
+			}
+			if s.Done() {
+				break
+			}
+			ready = s.ReadyNodes(ready[:0])
+			v := ready[rng.Intn(len(ready))]
+			if rng.Intn(6) == 0 {
+				s.ResetNode(v)
+			} else {
+				s.Apply(v, 1+rng.Int63n(s.Remaining(v)))
+			}
+		}
+	}
+}

@@ -14,9 +14,8 @@ import (
 // actually sees. Cost is reported as entries examined per SumRange query
 // (the queue.Counted work measure) rather than wall-clock, so the table is
 // deterministic — identical on any machine and under any -parallel value.
-// The treap wins asymptotically; at the |Q| ≈ tens the scheduler usually
-// holds, the difference is small — which is why the index is pluggable
-// rather than mandatory.
+// The treap wins asymptotically, and Scheduler S reaches sizes where that
+// matters: a wide serving shard holds a few hundred jobs in Q.
 func RunABL4(cfg Config) ([]*metrics.Table, error) {
 	sizes := []int{16, 128, 1024}
 	if cfg.Quick {

@@ -10,7 +10,10 @@
 // ABL4 benchmark compares them.
 package queue
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Item is one job's entry: its identity, density v_i, and weight (the
 // processor allotment n_i that band sums accumulate).
@@ -115,6 +118,18 @@ func (l *DensityList) ForEach(fn func(Item) bool) {
 	}
 }
 
+// ForEachFrom visits, in the same order as ForEach, only the items with
+// density ≤ maxDensity, finding the first by binary search instead of
+// stepping past the denser prefix.
+func (l *DensityList) ForEachFrom(maxDensity float64, fn func(Item) bool) {
+	i := sort.Search(len(l.items), func(i int) bool { return l.items[i].Density <= maxDensity })
+	for _, it := range l.items[i:] {
+		if !fn(it) {
+			return
+		}
+	}
+}
+
 // Snapshot appends all items in order to dst and returns it.
 func (l *DensityList) Snapshot(dst []Item) []Item { return append(dst, l.items...) }
 
@@ -145,31 +160,38 @@ type Counted interface {
 	ResetVisits()
 }
 
-// NaiveBand is the obviously-correct BandIndex: a flat map scanned per
+// NaiveBand is the obviously-correct BandIndex: a flat list scanned per
 // query. It is the reference implementation for property tests and the
-// baseline for the ABL4 benchmark.
+// baseline for the ABL4 benchmark. Items are kept, and summed, in insertion
+// order, so a query's float result is reproducible run to run.
 type NaiveBand struct {
-	items  map[int]Item
+	items  []Item
 	visits int64
 }
 
 // NewNaiveBand returns an empty NaiveBand.
-func NewNaiveBand() *NaiveBand { return &NaiveBand{items: make(map[int]Item)} }
+func NewNaiveBand() *NaiveBand { return &NaiveBand{} }
+
+// index returns the position of the item with the given ID, or -1.
+func (n *NaiveBand) index(id int) int {
+	return slices.IndexFunc(n.items, func(it Item) bool { return it.ID == id })
+}
 
 // Insert implements BandIndex.
 func (n *NaiveBand) Insert(it Item) {
-	if _, dup := n.items[it.ID]; dup {
+	if n.index(it.ID) >= 0 {
 		panic("queue: duplicate ID inserted into NaiveBand")
 	}
-	n.items[it.ID] = it
+	n.items = append(n.items, it)
 }
 
 // Remove implements BandIndex.
 func (n *NaiveBand) Remove(id int, _ float64) bool {
-	if _, ok := n.items[id]; !ok {
+	i := n.index(id)
+	if i < 0 {
 		return false
 	}
-	delete(n.items, id)
+	n.items = slices.Delete(n.items, i, i+1)
 	return true
 }
 

@@ -5,7 +5,7 @@ import "math/rand"
 // TreapBand is a BandIndex backed by a randomized treap keyed by
 // (density, ID) and augmented with subtree weight sums, giving O(log n)
 // expected insert, remove, and range-sum. Rotation-free split/merge keeps
-// the augmentation simple to maintain.
+// the augmentation simple to maintain; range sums only read the tree.
 type TreapBand struct {
 	root   *treapNode
 	rng    *rand.Rand
@@ -42,13 +42,6 @@ func (n *treapNode) recalc() {
 	if n.right != nil {
 		n.sum += n.right.sum
 	}
-}
-
-func nodeSum(n *treapNode) float64 {
-	if n == nil {
-		return 0
-	}
-	return n.sum
 }
 
 // split partitions t into (< key, ≥ key) by (density, id), counting every
@@ -123,30 +116,103 @@ func (t *TreapBand) Remove(id int, density float64) bool {
 	return found
 }
 
+// minKeyID sorts before every item ID, so the key (d, minKeyID) places every
+// item of density d on the ≥ side of a comparison.
+const minKeyID = -1 << 62
+
+// below reports whether n's key sorts before density d, i.e. n.Density < d.
+func (n *treapNode) below(d float64) bool {
+	return keyLess(n.it.Density, n.it.ID, d, minKeyID)
+}
+
 // SumRange implements BandIndex: total weight of densities in [lo, hi).
+//
+// The query reads the tree without restructuring it. Splitting at lo and hi
+// would yield, as the middle tree, the current tree restricted to [lo, hi)
+// with ancestry preserved (split never reads priorities): its root is the
+// first node on the search path with lo ≤ d < hi, its left side is that
+// node's left subtree restricted to ≥ lo, and its right side the right
+// subtree restricted to < hi. Summing those parts in recalc's order (weight,
+// then left, then right, skipping empty sides) and reusing the stored sum of
+// every subtree wholly in range therefore reproduces the middle tree's root
+// sum bit for bit.
 func (t *TreapBand) SumRange(lo, hi float64) float64 {
 	if hi <= lo {
 		return 0
 	}
-	l, rest := split(t.root, lo, -1<<62, &t.visits)
-	mid, r := split(rest, hi, -1<<62, &t.visits)
-	s := nodeSum(mid)
-	t.root = merge(merge(l, mid, &t.visits), r, &t.visits)
+	for n := t.root; n != nil; {
+		t.visits++
+		switch {
+		case n.below(lo):
+			n = n.right
+		case !n.below(hi):
+			n = n.left
+		default:
+			s := n.it.Weight
+			if l, ok := t.sumFrom(n.left, lo); ok {
+				s += l
+			}
+			if r, ok := t.sumBelow(n.right, hi); ok {
+				s += r
+			}
+			return s
+		}
+	}
+	return 0
+}
+
+// SumFrom implements BandIndex: total weight of densities ≥ lo, read without
+// restructuring the tree (see SumRange).
+func (t *TreapBand) SumFrom(lo float64) float64 {
+	s, _ := t.sumFrom(t.root, lo)
 	return s
 }
 
-// SumFrom implements BandIndex: total weight of densities ≥ lo.
-func (t *TreapBand) SumFrom(lo float64) float64 {
-	l, r := split(t.root, lo, -1<<62, &t.visits)
-	s := nodeSum(r)
-	t.root = merge(l, r, &t.visits)
-	return s
+// sumFrom returns the total weight of n's subtree restricted to densities
+// ≥ lo, in recalc's addition order, and whether that restriction is
+// non-empty.
+func (t *TreapBand) sumFrom(n *treapNode, lo float64) (float64, bool) {
+	for ; n != nil; n = n.right {
+		t.visits++
+		if n.below(lo) {
+			continue
+		}
+		s := n.it.Weight
+		if l, ok := t.sumFrom(n.left, lo); ok {
+			s += l
+		}
+		if n.right != nil {
+			s += n.right.sum
+		}
+		return s, true
+	}
+	return 0, false
+}
+
+// sumBelow is sumFrom's mirror: n's subtree restricted to densities < hi.
+func (t *TreapBand) sumBelow(n *treapNode, hi float64) (float64, bool) {
+	for ; n != nil; n = n.left {
+		t.visits++
+		if !n.below(hi) {
+			continue
+		}
+		s := n.it.Weight
+		if n.left != nil {
+			s += n.left.sum
+		}
+		if r, ok := t.sumBelow(n.right, hi); ok {
+			s += r
+		}
+		return s, true
+	}
+	return 0, false
 }
 
 // Len implements BandIndex.
 func (t *TreapBand) Len() int { return t.size }
 
-// Visits implements Counted: tree nodes touched by split/merge traversals.
+// Visits implements Counted: tree nodes touched by split/merge traversals
+// (Insert, Remove) and by the read-only descents of SumRange and SumFrom.
 func (t *TreapBand) Visits() int64 { return t.visits }
 
 // ResetVisits implements Counted.

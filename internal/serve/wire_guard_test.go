@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"net/http/httptest"
 	"os"
 	"runtime"
@@ -24,7 +25,9 @@ import (
 //     benchAdvanceTicks), so the ratio is workload-independent and holds on
 //     single-vCPU CI hosts where absolute throughput would not. Both arms
 //     run at GOMAXPROCS=1, so the ratio does not depend on the host's core
-//     count either.
+//     count either. The arms alternate for wireGuardRounds rounds and each
+//     keeps its best round, as in TestObsOverheadGuard: a drift in host
+//     speed then lands on both arms instead of between them.
 func TestWireGuard(t *testing.T) {
 	if os.Getenv("SPAA_WIRE_GUARD") == "" {
 		t.Skip("set SPAA_WIRE_GUARD=1 to run the wire fast-path gate")
@@ -55,8 +58,31 @@ func TestWireGuard(t *testing.T) {
 	// measure the host's core count rather than the wire path.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
-	const batchSize = 64
-	engine := testing.Benchmark(func(b *testing.B) {
+	engineNs, itemNs := math.Inf(1), math.Inf(1)
+	for i := 0; i < wireGuardRounds; i++ {
+		e, b := wireEngineArm(), wireBatchArm()
+		if e <= 0 || b <= 0 {
+			t.Fatalf("round %d: an arm failed (engine %.0f ns/item, batch %.0f ns/item)", i, e, b)
+		}
+		engineNs, itemNs = math.Min(engineNs, e), math.Min(itemNs, b)
+	}
+	ratio := itemNs / engineNs
+	t.Logf("wire guard: engine %.0f ns/item, batch HTTP %.0f ns/item (ratio %.2f), batch path %.0f items/s",
+		engineNs, itemNs, ratio, 1e9/itemNs)
+	if ratio > 1.5 {
+		t.Errorf("batched HTTP per-item cost is %.2fx the engine-path cost (budget 1.5x): "+
+			"the wire fast path has regressed", ratio)
+	}
+}
+
+// wireGuardRounds is how many times TestWireGuard alternates its two arms;
+// wireGuardBatch is the HTTP arm's batch size.
+const wireGuardRounds, wireGuardBatch = 5, 64
+
+// wireEngineArm returns the bare engine path's cost per submission in ns, or
+// 0 if the benchmark failed.
+func wireEngineArm() float64 {
+	r := testing.Benchmark(func(b *testing.B) {
 		srv, err := New(Config{M: 8, QueueDepth: 1, TickInterval: -1})
 		if err != nil {
 			b.Fatal(err)
@@ -78,7 +104,14 @@ func TestWireGuard(t *testing.T) {
 			}
 		}
 	})
-	batch := testing.Benchmark(func(b *testing.B) {
+	return float64(r.NsPerOp())
+}
+
+// wireBatchArm returns the per-item cost in ns of wireGuardBatch-spec
+// batches over real HTTP, replaying the engine arm's spec and cadence, or 0
+// if the benchmark failed.
+func wireBatchArm() float64 {
+	r := testing.Benchmark(func(b *testing.B) {
 		srv, err := New(Config{M: 8, QueueDepth: 1024, TickInterval: -1})
 		if err != nil {
 			b.Fatal(err)
@@ -86,26 +119,17 @@ func TestWireGuard(t *testing.T) {
 		defer srv.Drain()
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
-		req := benchRequest("/v1/jobs:batch", benchBatchBody(batchSize))
+		req := benchRequest("/v1/jobs:batch", benchBatchBody(wireGuardBatch))
 		bc := dialBenchConn(b, ts.URL)
 		items := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			postBenchBatch(b, bc, req, batchSize)
-			items += batchSize
-			if items%benchAdvanceEvery < batchSize {
+			postBenchBatch(b, bc, req, wireGuardBatch)
+			items += wireGuardBatch
+			if items%benchAdvanceEvery < wireGuardBatch {
 				srv.Advance(int64(items / benchAdvanceEvery * benchAdvanceTicks))
 			}
 		}
 	})
-
-	engineNs := float64(engine.NsPerOp())
-	itemNs := float64(batch.NsPerOp()) / batchSize
-	ratio := itemNs / engineNs
-	t.Logf("wire guard: engine %.0f ns/item, batch HTTP %.0f ns/item (ratio %.2f), batch path %.0f items/s",
-		engineNs, itemNs, ratio, 1e9/itemNs)
-	if ratio > 1.5 {
-		t.Errorf("batched HTTP per-item cost is %.2fx the engine-path cost (budget 1.5x): "+
-			"the wire fast path has regressed", ratio)
-	}
+	return float64(r.NsPerOp()) / wireGuardBatch
 }
